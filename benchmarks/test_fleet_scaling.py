@@ -1,8 +1,9 @@
 """Multi-core fleet scaling: process backend wall-time vs K workers.
 
 The ROADMAP's "escape the GIL" item, measured.  The inline backend runs
-K workers as threads in one Python process, so no matter how large K
-grows, per-tuple work serializes on the GIL and wall time stays flat.
+every worker's shards on the dispatcher thread of one Python process,
+so no matter how large K grows, per-tuple work runs on one core and
+wall time stays flat.
 The process backend forks K warm worker subprocesses — the fleet's
 simulated-cycle parallelism finally becomes wall-time parallelism, one
 core per worker.

@@ -23,8 +23,8 @@ stream arrives over TCP through the `repro.net` gateway under
 credit-based backpressure, and the result is bit-identical to the
 in-process submission.
 
-Act six swaps the execution backend: the same fleet runs once on
-inline worker threads and once on warm pre-forked worker subprocesses
+Act six swaps the execution backend: the same fleet runs once inline
+on the dispatcher thread and once on warm pre-forked worker subprocesses
 (`backend="process"`), producing the golden histogram bit for bit both
 times — the process fleet is the multi-core wall-time path.
 
@@ -218,7 +218,7 @@ def main() -> None:
         fleet.shutdown()
         assert np.array_equal(backend_result, golden)
     print(f"\nexecution backends (cycle engine, {WORKERS} workers):")
-    print(f"  inline threads       : {times['inline']:.2f}s wall")
+    print(f"  inline (dispatcher)  : {times['inline']:.2f}s wall")
     print(f"  warm subprocesses    : {times['process']:.2f}s wall "
           f"({times['inline'] / times['process']:.2f}x)")
     print("  both backends produce the golden histogram bit for bit")

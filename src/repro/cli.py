@@ -597,10 +597,10 @@ def build_parser() -> argparse.ArgumentParser:
                             "(modeled cycles) or the per-cycle simulator")
         p.add_argument("--backend", default="inline",
                        choices=["inline", "process"],
-                       help="execution backend: in-process worker "
-                            "threads (deterministic default) or warm "
-                            "pre-forked worker subprocesses (multi-core "
-                            "wall-time; identical results)")
+                       help="execution backend: shards run on the "
+                            "dispatcher thread (deterministic default) "
+                            "or in warm pre-forked worker subprocesses "
+                            "(multi-core wall-time; identical results)")
         p.add_argument("--transport", default="pipe",
                        choices=["pipe", "shm"],
                        help="process-backend shard transport: copy "

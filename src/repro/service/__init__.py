@@ -23,7 +23,8 @@ workers serving many clients:
     behind which the fleet runs, plus the picklable
     :class:`SessionSpec` job recipe it trades in.
 ``pool``
-    The ``"inline"`` adapter: K pipeline workers as daemon threads with
+    The ``"inline"`` adapter: K pipeline workers run on the dispatcher
+    thread, each shard synchronously inside ``dispatch``, with
     per-(worker, job) streaming sessions (deterministic default).
 ``procpool``
     The ``"process"`` adapter: K warm, pre-forked worker subprocesses

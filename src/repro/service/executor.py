@@ -7,9 +7,11 @@ module), and the concrete mechanics of *where* a worker runs live in
 adapters:
 
 ``repro.service.pool.WorkerPool`` (``backend="inline"``)
-    K daemon threads inside the service process.  Deterministic, replay
-    safe, zero serialization — and GIL-serialized, so the fleet's
-    simulated-cycle parallelism never becomes wall-time parallelism.
+    K worker slots run on the dispatcher thread: each shard executes
+    synchronously inside ``dispatch``.  Deterministic by construction,
+    replay safe, zero serialization — and single-threaded, so the
+    fleet's simulated-cycle parallelism never becomes wall-time
+    parallelism.
 
 ``repro.service.procpool.ProcessBackend`` (``backend="process"``)
     K warm, pre-forked worker subprocesses that stay up across jobs.
@@ -69,7 +71,7 @@ def validate_transport(transport: str) -> str:
 class SessionSpec:
     """Picklable recipe for one job's per-worker streaming session.
 
-    Everything a worker — thread or subprocess — needs to build a fresh
+    Everything a worker — in-process or subprocess — needs to build a fresh
     :class:`StreamingSession` with its own kernel instance: the app
     name and params (the kernel factory's inputs), the architecture
     configuration, and the engine/budget knobs.  Live objects (the Job,
@@ -164,7 +166,6 @@ def make_backend(
     workers: int,
     spec_factory: Callable[[str], SessionSpec],
     metrics,
-    join_timeout: float = 60.0,
     tracer=None,
     transport: str = "pipe",
 ) -> ExecutionBackend:
@@ -189,11 +190,9 @@ def make_backend(
             workers,
             lambda job_id: spec_factory(job_id).build(),
             metrics,
-            join_timeout=join_timeout,
             tracer=tracer,
         )
     from repro.service.procpool import ProcessBackend
 
-    return ProcessBackend(workers, spec_factory, metrics,
-                          join_timeout=join_timeout, tracer=tracer,
+    return ProcessBackend(workers, spec_factory, metrics, tracer=tracer,
                           transport=transport)

@@ -130,8 +130,8 @@ def kernel_for(app: str, pripes: int,
                params: Optional[Dict[str, Any]] = None) -> KernelSpec:
     """Build a fresh kernel instance for one job on one worker.
 
-    Every (worker, job) pair gets its *own* kernel object so worker
-    threads never share mutable kernel state.  ``params`` carries the
+    Every (worker, job) pair gets its *own* kernel object so workers
+    never share mutable kernel state.  ``params`` carries the
     per-application knobs a client may tune at submission time.
     """
     params = dict(params or {})

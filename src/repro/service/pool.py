@@ -1,20 +1,22 @@
-"""Inline execution backend: K pipeline workers as daemon threads.
+"""Inline execution backend: K pipeline workers on the dispatcher thread.
 
-Each worker is a daemon thread owning a FIFO of :class:`WorkItem`s and a
-per-job :class:`~repro.runtime.session.StreamingSession` (so one worker
+Each worker is a slot owning a per-job
+:class:`~repro.runtime.session.StreamingSession` (so one worker
 accumulates its shard of every job it touches across windows — session
-reuse is what makes per-window dispatch cheap).  The pool mirrors the
-warm-pool executor shape from the ModelOps related work: workers stay
-up across jobs, work routing is the balancer's problem, and partial
-results merge on collection.
+reuse is what makes per-window dispatch cheap).  :meth:`WorkerPool.dispatch`
+runs the shard synchronously on the caller's thread, so by the time it
+returns the segment is processed, metered and traced.  The pool mirrors
+the warm-pool executor shape from the ModelOps related work: workers
+stay up across jobs, work routing is the balancer's problem, and
+partial results merge on collection.
 
 This is the ``backend="inline"`` adapter of the
 :class:`~repro.service.executor.ExecutionBackend` port — deterministic
-and replay safe, but GIL-serialized; the multi-core raw-speed adapter
-lives in :mod:`repro.service.procpool`.
+by construction and replay safe; the multi-core raw-speed adapter lives
+in :mod:`repro.service.procpool`.
 
-Worker concurrency is real (threads), but throughput accounting is in
-deterministic simulated cycles — see :mod:`repro.service.metrics`.
+The fleet's parallelism is modeled, not executed: throughput accounting
+is in deterministic simulated cycles — see :mod:`repro.service.metrics`.
 
 Sessions are keyed ``(worker_id, generation, job_id)``: the pool bumps
 its generation every time it mints new workers (grow, restart), so a
@@ -24,7 +26,6 @@ never silently adopt the removed worker's retained partial session.
 
 from __future__ import annotations
 
-import queue
 import threading
 import traceback
 from dataclasses import dataclass
@@ -37,9 +38,6 @@ from repro.service.executor import ExecutionBackend
 from repro.service.jobs import DEFAULT_TENANT
 from repro.workloads.tuples import TupleBatch
 
-#: Sentinel shutting a worker thread down.
-_STOP = object()
-
 
 @dataclass
 class WorkItem:
@@ -51,55 +49,13 @@ class WorkItem:
     the shard was routed — segment trace events carry it instead of a
     read at completion time, which is what makes their timestamps
     identical across the inline and process backends (inline workers
-    record mid-dispatch, process children ship ledgers back at drain).
+    record inside dispatch, process children ship ledgers back at drain).
     """
 
     job_id: str
     batch: TupleBatch
     tenant_id: str = DEFAULT_TENANT
     dispatch_clock: int = 0
-
-
-class _Worker(threading.Thread):
-    """One pipeline worker draining its private work queue."""
-
-    def __init__(self, worker_id: int, generation: int,
-                 pool: "WorkerPool") -> None:
-        super().__init__(name=f"pipeline-worker-{worker_id}", daemon=True)
-        self.worker_id = worker_id
-        self.generation = generation
-        self.pool = pool
-        self.inbox: "queue.Queue" = queue.Queue()
-
-    def run(self) -> None:
-        while True:
-            item = self.inbox.get()
-            if item is _STOP:
-                self.inbox.task_done()
-                return
-            try:
-                self._process(item)
-            except Exception as exc:  # noqa: BLE001 — reported to the pool
-                self.pool._record_error(item.job_id, exc)
-            finally:
-                self.inbox.task_done()
-
-    def _process(self, item: WorkItem) -> None:  # hot-path
-        if len(item.batch) == 0:
-            return
-        session = self.pool._session(self.worker_id, self.generation,
-                                     item.job_id)
-        outcome = session.process(item.batch)
-        self.pool.metrics.record_segment(
-            self.worker_id, outcome.tuples, outcome.cycles,
-            tenant=item.tenant_id)
-        tracer = self.pool.tracer
-        if tracer.enabled:
-            tracer.emit(
-                trace_events.JOB_SEGMENT, item.dispatch_clock,
-                job_id=item.job_id, tenant_id=item.tenant_id,
-                worker=self.worker_id, generation=self.generation,
-                tuples=outcome.tuples, cycles=outcome.cycles)
 
 
 class WorkerPool(ExecutionBackend):
@@ -114,9 +70,6 @@ class WorkerPool(ExecutionBackend):
         own kernel instance) the first time a worker sees a job.
     metrics:
         Shared :class:`~repro.service.metrics.ServiceMetrics`.
-    join_timeout:
-        Seconds to wait for a worker thread to exit on :meth:`stop` /
-        scale-down before declaring it hung.
     tracer:
         Optional :class:`~repro.obs.collector.TraceCollector`; a
         disabled collector is installed when omitted so hot paths can
@@ -128,7 +81,6 @@ class WorkerPool(ExecutionBackend):
         workers: int,
         session_factory: Callable[[str], StreamingSession],
         metrics,
-        join_timeout: float = 60.0,
         tracer: Optional[TraceCollector] = None,
     ) -> None:
         if workers <= 0:
@@ -136,16 +88,16 @@ class WorkerPool(ExecutionBackend):
         self.size = workers
         self.session_factory = session_factory
         self.metrics = metrics
-        self.join_timeout = join_timeout
         self.tracer = tracer if tracer is not None else TraceCollector(
             enabled=False)
         self._generation = 0
-        self._workers = [_Worker(i, self._generation, self)
-                         for i in range(workers)]
+        #: ``_workers[i]`` is the generation worker ``i`` was minted in.
+        self._workers: List[int] = [self._generation] * workers
         self._sessions: Dict[Tuple[int, int, str], StreamingSession] = {}  # guarded-by: _lock
         self._errors: Dict[str, List[str]] = {}  # guarded-by: _lock
         self._lock = threading.Lock()
         self._started = False
+        self._ran = False
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -153,67 +105,55 @@ class WorkerPool(ExecutionBackend):
     def start(self) -> None:
         if self._started:
             return
-        # Threads are single-use: after a stop(), build a fresh set so
-        # the pool (and hence the service) can be restarted.  The new
-        # workers get a fresh generation — if a previous stop() timed
-        # out, the hung thread keeps writing under its old generation
-        # key and can never collide with its replacement's sessions.
-        if any(worker.ident is not None for worker in self._workers):
+        # A restart mints the whole fleet afresh under a new generation,
+        # like the process backend's re-fork.
+        if self._ran:
             self._generation += 1
-            self._workers = [_Worker(i, self._generation, self)
-                             for i in range(self.size)]
-        self._started = True
-        for worker in self._workers:
-            worker.start()
-        if self.tracer.enabled:
-            for worker in self._workers:
-                self.tracer.emit(
-                    trace_events.BACKEND_FORK,
-                    worker=worker.worker_id,
-                    generation=worker.generation, worker_kind="thread")
+            self._workers = [self._generation] * self.size
+        self._started = self._ran = True
+        self._trace_forks(range(self.size))
 
     def stop(self) -> None:
-        """Drain outstanding work, then stop every worker thread.
+        """Stop the fleet; every dispatched shard is already processed.
 
-        A worker that fails to exit within ``join_timeout`` raises
-        RuntimeError — but only after the pool has been marked stopped,
-        so a subsequent :meth:`start` still works (it mints replacement
-        workers under a fresh generation; the hung daemon thread is
-        abandoned).
+        Partial sessions stay registered, so a post-stop :meth:`collect`
+        still merges them, and a later :meth:`start` serves again.
         """
-        if not self._started:
-            return
-        for worker in self._workers:
-            worker.inbox.put(_STOP)
-        for worker in self._workers:
-            worker.join(timeout=self.join_timeout)
-        hung = [w.worker_id for w in self._workers if w.is_alive()]
-        # Mark stopped *before* surfacing the hang: the pool must stay
-        # restartable even when shutdown fails (satellite of record —
-        # the old code left _started=True, so start() was a no-op and
-        # dispatch() kept feeding a half-dead fleet).
         self._started = False
-        if hung:
-            raise RuntimeError(
-                f"workers {hung} did not stop within "
-                f"{self.join_timeout:g}s "
-                "(segment exceeding its cycle budget?)")
 
     # ------------------------------------------------------------------
     # Dispatch
     # ------------------------------------------------------------------
     def dispatch(self, worker_id: int, item: WorkItem) -> None:  # hot-path
-        """Queue one shard onto one worker."""
+        """Process one shard on one worker, on the caller's thread.
+
+        A raising shard is recorded in the job's error ledger
+        (:meth:`errors`), never raised out of dispatch.
+        """
         if not 0 <= worker_id < self.size:
             raise ValueError(f"no such worker {worker_id}")
         if not self._started:
             raise RuntimeError("pool is not running; call start() first")
-        self._workers[worker_id].inbox.put(item)
+        if len(item.batch) == 0:
+            return
+        generation = self._workers[worker_id]
+        try:
+            session = self._session(worker_id, generation, item.job_id)
+            outcome = session.process(item.batch)
+            self.metrics.record_segment(
+                worker_id, outcome.tuples, outcome.cycles,
+                tenant=item.tenant_id)
+            if self.tracer.enabled:
+                self.tracer.emit(
+                    trace_events.JOB_SEGMENT, item.dispatch_clock,
+                    job_id=item.job_id, tenant_id=item.tenant_id,
+                    worker=worker_id, generation=generation,
+                    tuples=outcome.tuples, cycles=outcome.cycles)
+        except Exception as exc:  # noqa: BLE001 — reported via errors()
+            self._record_error(item.job_id, exc)
 
     def drain(self) -> None:
-        """Block until every dispatched item has been processed."""
-        for worker in self._workers:
-            worker.inbox.join()
+        """Barrier: dispatch is synchronous, so nothing is outstanding."""
         if self.tracer.enabled:
             self.tracer.emit(trace_events.BACKEND_DRAIN,
                              backend="inline", workers=self.size)
@@ -221,14 +161,13 @@ class WorkerPool(ExecutionBackend):
     def resize(self, workers: int) -> None:
         """Grow or shrink the fleet to ``workers`` pipeline instances.
 
-        Growing starts fresh worker threads immediately (if the pool is
-        running) under a new pool generation, so a worker id that was
-        removed by an earlier shrink cannot adopt the removed worker's
-        retained partial session.  Shrinking stops the highest-numbered
-        workers after they drain their queued items; their per-job
-        partial sessions stay registered so :meth:`collect` still
-        merges them.  Callers must stop routing to removed worker IDs
-        first (the balancer's ``reconfigure`` does this).
+        Growing mints the new workers under a new pool generation, so a
+        worker id that was removed by an earlier shrink cannot adopt the
+        removed worker's retained partial session.  Shrinking drops the
+        highest-numbered workers; their per-job partial sessions stay
+        registered so :meth:`collect` still merges them.  Callers must
+        stop routing to removed worker IDs first (the balancer's
+        ``reconfigure`` does this).
         """
         if workers <= 0:
             raise ValueError("workers must be positive")
@@ -236,36 +175,23 @@ class WorkerPool(ExecutionBackend):
             return
         if workers > self.size:
             self._generation += 1
-            grown = [_Worker(i, self._generation, self)
-                     for i in range(self.size, workers)]
-            self._workers.extend(grown)
+            self._workers.extend(
+                [self._generation] * (workers - self.size))
+            grown = range(self.size, workers)
             self.size = workers
             if self._started:
-                for worker in grown:
-                    worker.start()
-                if self.tracer.enabled:
-                    for worker in grown:
-                        self.tracer.emit(
-                            trace_events.BACKEND_FORK,
-                            worker=worker.worker_id,
-                            generation=worker.generation, worker_kind="thread")
+                self._trace_forks(grown)
             return
-        removed = self._workers[workers:]
-        # Trim the live roster before joining: even if a removed worker
-        # hangs, the pool's size/worker-list state stays consistent and
-        # later start()/resize() calls behave.
         self._workers = self._workers[:workers]
         self.size = workers
-        if self._started:
-            for worker in removed:
-                worker.inbox.put(_STOP)
-            for worker in removed:
-                worker.join(timeout=self.join_timeout)
-            hung = [w.worker_id for w in removed if w.is_alive()]
-            if hung:
-                raise RuntimeError(
-                    f"workers {hung} did not stop within "
-                    f"{self.join_timeout:g}s during scale-down")
+
+    def _trace_forks(self, worker_ids) -> None:
+        if self.tracer.enabled:
+            for worker_id in worker_ids:
+                self.tracer.emit(
+                    trace_events.BACKEND_FORK, worker=worker_id,
+                    generation=self._workers[worker_id],
+                    worker_kind="inline")
 
     # ------------------------------------------------------------------
     # Session management and collection
@@ -330,5 +256,5 @@ class WorkerPool(ExecutionBackend):
         return merged
 
 
-#: Port-facing alias: the thread adapter is the ``"inline"`` backend.
+#: Port-facing alias: the dispatcher-thread adapter is ``"inline"``.
 InlineBackend = WorkerPool

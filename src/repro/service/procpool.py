@@ -2,11 +2,11 @@
 
 The ``backend="process"`` adapter of the
 :class:`~repro.service.executor.ExecutionBackend` port.  Where the
-inline adapter (:mod:`repro.service.pool`) runs the fleet as threads —
-deterministic but GIL-serialized — this one forks K worker subprocesses
-once and keeps them warm across jobs, the ModelOps warm-pool shape: no
-per-job cold start, routing stays the balancer's problem, and partial
-results merge on collection.
+inline adapter (:mod:`repro.service.pool`) runs every shard on the
+dispatcher thread — deterministic but single-core — this one forks K
+worker subprocesses once and keeps them warm across jobs, the ModelOps
+warm-pool shape: no per-job cold start, routing stays the balancer's
+problem, and partial results merge on collection.
 
 Each child owns one duplex pipe.  Job descriptions cross it once per
 (worker, job) as a picklable
@@ -92,6 +92,10 @@ from repro.workloads.tuples import TupleBatch
 #: would re-import, which also works, but fork keeps warm start cheap
 #: and matches the pre-forked-pool design).
 _CTX = multiprocessing.get_context("fork")
+
+#: Seconds to wait for a child's reply, or for it to exit on stop /
+#: scale-down before it is forcibly terminated.
+JOIN_TIMEOUT = 60.0
 
 
 def _child_main(conn, worker_id: int, ctrl_name: Optional[str]) -> None:  # hot-path
@@ -238,9 +242,6 @@ class ProcessBackend(ExecutionBackend):
         Shared :class:`~repro.service.metrics.ServiceMetrics`; child
         segment ledgers are folded in on :meth:`drain`, and shard
         transport events land in its ``transport`` counters.
-    join_timeout:
-        Seconds to wait for a child to exit on :meth:`stop` /
-        scale-down before it is forcibly terminated.
     tracer:
         Optional :class:`~repro.obs.collector.TraceCollector`; a
         disabled collector is installed when omitted.  Children never
@@ -261,7 +262,6 @@ class ProcessBackend(ExecutionBackend):
         workers: int,
         spec_factory: Callable[[str], SessionSpec],
         metrics,
-        join_timeout: float = 60.0,
         tracer: Optional[TraceCollector] = None,
         transport: str = "pipe",
         slab_bytes: int = DEFAULT_SLAB_BYTES,
@@ -272,7 +272,6 @@ class ProcessBackend(ExecutionBackend):
         self.size = workers
         self.spec_factory = spec_factory
         self.metrics = metrics
-        self.join_timeout = join_timeout
         self.tracer = tracer if tracer is not None else TraceCollector(
             enabled=False)
         self.transport = validate_transport(transport)
@@ -339,7 +338,7 @@ class ProcessBackend(ExecutionBackend):
             for child in children:
                 if not self._handoff(child):
                     continue
-                child.process.join(timeout=self.join_timeout)
+                child.process.join(timeout=JOIN_TIMEOUT)
                 if child.process.is_alive():
                     child.process.terminate()
                     child.process.join(timeout=5.0)
@@ -352,7 +351,7 @@ class ProcessBackend(ExecutionBackend):
         if stuck:
             raise RuntimeError(
                 f"workers {stuck} did not stop within "
-                f"{self.join_timeout:g}s (segment exceeding its cycle "
+                f"{JOIN_TIMEOUT:g}s (segment exceeding its cycle "
                 "budget?)")
 
     # ------------------------------------------------------------------
@@ -442,7 +441,7 @@ class ProcessBackend(ExecutionBackend):
             # ledger (and any slab blocks) can go.
             self._forget(child.worker_id)
             if self._handoff(child):
-                child.process.join(timeout=self.join_timeout)
+                child.process.join(timeout=JOIN_TIMEOUT)
                 if child.process.is_alive():
                     child.process.terminate()
 
@@ -548,7 +547,7 @@ class ProcessBackend(ExecutionBackend):
         """Send one request and await its reply; None if the child died."""
         try:
             child.conn.send(msg)
-            if not child.conn.poll(self.join_timeout):
+            if not child.conn.poll(JOIN_TIMEOUT):
                 return None
             return child.conn.recv()
         except (BrokenPipeError, EOFError, OSError):

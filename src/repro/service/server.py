@@ -113,10 +113,11 @@ class StreamService:
     backend:
         Execution backend behind the fleet port
         (:mod:`repro.service.executor`): ``"inline"`` (default) runs
-        the K workers as threads in this process — deterministic and
-        replay safe; ``"process"`` runs them as warm, pre-forked
-        subprocesses that escape the GIL for multi-core wall-time
-        scaling.  Results are bit-identical across backends.
+        each of the K workers' shards on the dispatcher thread —
+        deterministic and replay safe; ``"process"`` runs the workers
+        as warm, pre-forked subprocesses that escape the GIL for
+        multi-core wall-time scaling.  Results are bit-identical across
+        backends.
     transport:
         Shard transport of the process backend: ``"pipe"`` (default)
         serializes shard arrays through each worker's pipe; ``"shm"``
@@ -320,7 +321,7 @@ class StreamService:
             job_id=job_id or "",
         )
         # Validate application parameters at admission, not deep inside a
-        # worker thread: a bad job must fail fast for the client.
+        # worker's shard: a bad job must fail fast for the client.
         kernel_for(job.app, self.config.pripes, job.params)
         job.submit_clock = self.metrics.dispatch_clock()
         with self._jobs_lock:

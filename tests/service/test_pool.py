@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.config import ArchitectureConfig
-from repro.runtime.session import SegmentOutcome, StreamingSession
+from repro.runtime.session import StreamingSession
 from repro.service.jobs import kernel_for
 from repro.service.metrics import ServiceMetrics
 from repro.service.pool import WorkItem, WorkerPool
@@ -43,7 +43,7 @@ class TestResize:
         finally:
             pool.stop()
 
-    def test_grow_before_start_defers_thread_launch(self):
+    def test_grow_before_start_serves_new_workers_after_start(self):
         pool, _ = make_pool(2)
         pool.resize(5)
         assert pool.size == 5
@@ -123,78 +123,66 @@ class TestResize:
             pool.stop()
 
 
-class _BlockingSession:
-    """Session stub that parks its worker until released."""
-
-    def __init__(self, release):
-        self.release = release
-        self.history = []
+class _RaisingSession:
+    """Session stub whose every shard fails."""
 
     def process(self, batch):
-        self.release.wait()
-        return SegmentOutcome(index=0, tuples=len(batch), cycles=1,
-                              tuples_per_cycle=float(len(batch)),
-                              plans=0, reschedules=0)
+        raise ValueError("kernel exploded")
 
 
-class TestHungShutdown:
-    """Regression: a timed-out stop() must leave a restartable pool.
+class TestSynchronousDispatch:
+    """The inline pool runs each shard inside ``dispatch()``.
 
-    The old code raised before clearing ``_started``, so after a hang
-    ``start()`` was a silent no-op and ``dispatch()`` kept feeding the
-    half-dead fleet.
+    No worker threads exist, so everything a shard produces — segment
+    metrics, partial session, error — is visible the moment dispatch
+    returns, before any ``drain()``.
     """
 
-    def make_sticky_pool(self, release, workers=2):
-        config = ArchitectureConfig(lanes=8, pripes=16, secpes=0,
-                                    reschedule_threshold=0.0)
-
-        def factory(job_id):
-            if job_id == "stuck":
-                return _BlockingSession(release)
-            return StreamingSession(config=config,
-                                    kernel=kernel_for("histo", 16),
-                                    engine="fast")
-
-        return WorkerPool(workers, factory, ServiceMetrics(),
-                          join_timeout=0.2)
-
-    def test_hung_stop_raises_but_leaves_pool_restartable(self):
-        release = threading.Event()
-        pool = self.make_sticky_pool(release)
+    def test_start_and_grow_spawn_no_threads(self):
+        pool, _ = make_pool(2)
+        threads = threading.active_count()
         pool.start()
-        pool.dispatch(0, WorkItem("stuck", batch_of([1])))
-        with pytest.raises(RuntimeError, match="did not stop"):
-            pool.stop()
         try:
-            # The failed shutdown marked the pool stopped...
-            with pytest.raises(RuntimeError, match="not running"):
-                pool.dispatch(0, WorkItem("job", batch_of([1])))
-            # ...so a restart mints fresh workers and serves normally.
-            pool.start()
-            pool.dispatch(0, WorkItem("job", batch_of([4, 4])))
-            pool.drain()
+            assert threading.active_count() == threads
+            pool.resize(4)
+            assert threading.active_count() == threads
+        finally:
+            pool.stop()
+
+    def test_segment_is_metered_when_dispatch_returns(self):
+        pool, _ = make_pool(2)
+        pool.start()
+        try:
+            pool.dispatch(1, WorkItem("job", batch_of([1, 2, 3])))
+            workers = pool.metrics.snapshot()["workers"]
+            assert workers[1]["segments"] == 1
+            assert workers[1]["tuples"] == 3
+        finally:
+            pool.stop()
+
+    def test_error_is_recorded_and_next_shard_still_runs(self):
+        _, factory = make_pool(2)
+        pool = WorkerPool(
+            2, lambda job_id: (_RaisingSession() if job_id == "bad"
+                               else factory(job_id)),
+            ServiceMetrics())
+        pool.start()
+        try:
+            pool.dispatch(0, WorkItem("bad", batch_of([1])))
+            assert pool.errors("bad") == ["ValueError: kernel exploded"]
+            pool.dispatch(0, WorkItem("job", batch_of([5, 5])))
+            assert pool.errors("job") == []
+            assert pool.metrics.snapshot()["workers"][0]["tuples"] == 2
             assert pool.collect("job").total_tuples == 2
         finally:
-            release.set()
             pool.stop()
 
-    def test_restarted_workers_use_a_fresh_generation(self):
-        release = threading.Event()
-        pool = self.make_sticky_pool(release)
+    def test_dispatch_on_stopped_pool_raises(self):
+        pool, _ = make_pool(2)
         pool.start()
-        first_gen = pool._workers[0].generation
-        pool.dispatch(0, WorkItem("stuck", batch_of([1])))
-        with pytest.raises(RuntimeError, match="did not stop"):
-            pool.stop()
-        try:
-            pool.start()
-            # The abandoned hung thread keeps its old generation key, so
-            # its late writes can never collide with the replacements'.
-            assert all(w.generation > first_gen for w in pool._workers)
-        finally:
-            release.set()
-            pool.stop()
+        pool.stop()
+        with pytest.raises(RuntimeError, match="not running"):
+            pool.dispatch(0, WorkItem("job", batch_of([1])))
 
 
 class TestWorkerIdReuse:

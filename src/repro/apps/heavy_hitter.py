@@ -17,14 +17,35 @@ same key" — a single guaranteed heavy hitter — which
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 import numpy as np
 
-from repro.core.kernel import KernelSpec
+from repro.core.kernel import KernelSpec, stable_order
 from repro.hashing.family import PairwiseFamily
 from repro.resources.estimator import AppResourceProfile
 from repro.workloads.tuples import TupleBatch
+
+
+def running_ranks(labels: np.ndarray) -> np.ndarray:
+    """1-based rank of each element among the equal labels up to it.
+
+    ``labels`` are non-negative integers.  After one stable sort, a run
+    of equal labels keeps stream order, so an element's offset from its
+    run start is the number of earlier elements with the same label.
+    For sketch cells this is how many increments the cell has taken
+    when the tuple lands.
+    """
+    n = labels.size
+    order = stable_order(labels)
+    sorted_labels = labels[order]
+    run_start = np.zeros(n, dtype=np.int64)
+    starts = np.flatnonzero(sorted_labels[1:] != sorted_labels[:-1]) + 1
+    run_start[starts] = starts
+    np.maximum.accumulate(run_start, out=run_start)
+    ranks = np.empty(n, dtype=np.int64)
+    ranks[order] = np.arange(1, n + 1) - run_start
+    return ranks
 
 
 @dataclass
@@ -122,20 +143,11 @@ class HeavyHitterKernel(KernelSpec):
         if n == 0:
             return
         estimates = np.full(n, np.iinfo(np.int64).max, dtype=np.int64)
-        positions = np.arange(n)
         for row in range(self.depth):
             cols = self.family.hash_array(row, keys)
-            order = np.argsort(cols, kind="stable")
-            sorted_cols = cols[order]
-            run_starts = np.flatnonzero(
-                np.r_[True, np.diff(sorted_cols) != 0])
-            run_lengths = np.diff(np.r_[run_starts, n])
-            rank = positions - np.repeat(run_starts, run_lengths) + 1
-            running = np.empty(n, dtype=np.int64)
-            running[order] = rank
-            np.minimum(estimates, buffer.cms[row][cols] + running,
+            np.minimum(estimates, buffer.cms[row][cols] + running_ranks(cols),
                        out=estimates)
-            np.add.at(buffer.cms[row], cols, 1)
+            buffer.cms[row] += np.bincount(cols, minlength=self.width)
         reversed_uniques, reversed_first = np.unique(keys[::-1],
                                                      return_index=True)
         last_seen = n - 1 - reversed_first
@@ -144,6 +156,43 @@ class HeavyHitterKernel(KernelSpec):
         for key, estimate in zip(reversed_uniques[tracked],
                                  estimates[last_seen][tracked]):
             buffer.candidates[int(key)] = int(estimate)
+
+    def process_shard(self, keys: np.ndarray, values: np.ndarray
+                      ) -> Tuple[Dict[int, int], np.ndarray]:
+        """Every PriPE's sketch at once, from one hash per key and row.
+
+        Cell ``(row * pripes + pe) * width + col`` gives every row of
+        every PriPE's (fresh) sketch one label space.  A tuple's final
+        estimate is the min over rows of its cells' counts (one
+        ``bincount``), its running estimate the min of its cells'
+        running ranks.  Estimates only grow, so a key is a candidate iff
+        one of its tuples' running estimates reaches the tracking level,
+        and a hitter iff it is also at or above the threshold at the
+        end.  Hitters come out in (PE, key) order, as :meth:`collect`
+        walks the per-PE candidate tables.
+        """
+        keys = np.asarray(keys, dtype=np.uint64)
+        destinations = self.route_array(keys)
+        cells = np.empty((self.depth, keys.size), dtype=np.int64)
+        for row in range(self.depth):
+            np.add(self.family.hash_array(row, keys),
+                   (row * self.pripes + destinations) * self.width,
+                   out=cells[row])
+        counts = np.bincount(cells.ravel())[cells]
+        final = counts.min(axis=0)
+        # Only a cell at or above the threshold can hold a hitter.  All
+        # of such a cell's tuples are ranked, so its ranks are exact.
+        hot = counts >= self.threshold
+        ranks = np.zeros(cells.shape, dtype=np.int64)
+        ranks[hot] = running_ranks(cells[hot])
+        hitting = (final >= self.threshold) & (
+            ranks.min(axis=0) >= self.track_fraction * self.threshold)
+        hitters, first = np.unique(keys[hitting], return_index=True)
+        estimates = final[hitting][first]
+        order = np.argsort(self.route_array(hitters), kind="stable")
+        return (dict(zip(hitters[order].tolist(),
+                         estimates[order].tolist())),
+                destinations)
 
     def merge_into(self, primary: SketchBuffer,
                    secondary: SketchBuffer) -> None:

@@ -14,7 +14,7 @@ read straight out of the partitioned buffers).
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Tuple
 
 import numpy as np
 
@@ -79,6 +79,15 @@ class HistogramKernel(KernelSpec):
                       values: np.ndarray) -> None:
         local = self.bin_array(keys) // self.pripes
         buffer += np.bincount(local, minlength=buffer.size)
+
+    def process_shard(self, keys: np.ndarray,
+                      values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """One ``bincount`` of the shard's bins; the bin's low bits are
+        the PriPE index, so the partitioned slices need no reassembly."""
+        bins = self.bin_array(keys)
+        hist = np.bincount(bins, minlength=self.bins).astype(np.int64,
+                                                              copy=False)
+        return hist, bins % self.pripes
 
     def merge_into(self, primary: np.ndarray, secondary: np.ndarray) -> None:
         primary += secondary

@@ -20,7 +20,7 @@ same PE — exactly the overload pattern Fig. 7 sweeps with Zipf datasets.
 from __future__ import annotations
 
 import math
-from typing import List
+from typing import List, Tuple
 
 import numpy as np
 
@@ -103,21 +103,16 @@ class HyperLogLogKernel(KernelSpec):
 
     def _register_and_rho_arrays(self, keys: np.ndarray) -> tuple:
         h, index = self._hash_index_arrays(keys)
-        rest = h << np.uint64(self.precision)
-        # Count leading zeros via float exponent extraction would lose
-        # precision; do it with a bit-length computation instead.
-        rest_nonzero = rest != 0
-        bitlen = np.zeros(keys.shape, dtype=np.int64)
-        work = rest.copy()
-        for shift in (32, 16, 8, 4, 2, 1):
-            mask = work >= (np.uint64(1) << np.uint64(shift))
-            bitlen[mask] += shift
-            work[mask] >>= np.uint64(shift)
-        bitlen[rest_nonzero] += 1  # bit_length of the value
-        rho = np.where(rest_nonzero, 64 - bitlen + 1,
-                       64 - self.precision + 1).astype(np.int64)
-        rho = np.minimum(rho, 64 - self.precision + 1)
-        return index, rho
+        # rho = leading zeros of the low (64 - p)-bit word + 1, i.e.
+        # (64 - p) + 1 - bit_length(word).  frexp's exponent is the bit
+        # length, exact below 2**53, so the (<= 60-bit) word is split at
+        # bit 30.
+        bits = 64 - self.precision
+        word = h & np.uint64((1 << bits) - 1)
+        high = np.frexp((word >> np.uint64(30)).astype(np.float64))[1]
+        low = np.frexp((word & np.uint64((1 << 30) - 1)).astype(np.float64))[1]
+        bit_length = np.where(high > 0, high + 30, low)
+        return index, (bits + 1 - bit_length).astype(np.int64)
 
     # -- KernelSpec ----------------------------------------------------
     def route(self, key: int) -> int:
@@ -125,9 +120,7 @@ class HyperLogLogKernel(KernelSpec):
         return index % self.pripes
 
     def route_array(self, keys: np.ndarray) -> np.ndarray:
-        # Routing needs only the register index: skip the rank (clz)
-        # passes, which dominate _register_and_rho_arrays and are paid
-        # again by process_batch on the fast path.
+        # Routing needs only the register index: skip the rank pass.
         _, index = self._hash_index_arrays(
             np.asarray(keys, dtype=np.uint64))
         return index % self.pripes
@@ -147,6 +140,16 @@ class HyperLogLogKernel(KernelSpec):
             np.asarray(keys, dtype=np.uint64))
         np.maximum.at(buffer, index // self.pripes,
                       rho.astype(buffer.dtype))
+
+    def process_shard(self, keys: np.ndarray,
+                      values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """One hash + rank pass and one ``maximum.at`` into the full
+        register file; the register's low bits are the PriPE index."""
+        index, rho = self._register_and_rho_arrays(
+            np.asarray(keys, dtype=np.uint64))
+        registers = np.zeros(self.registers, dtype=np.int8)
+        np.maximum.at(registers, index, rho.astype(np.int8))
+        return registers, index % self.pripes
 
     def merge_into(self, primary: np.ndarray, secondary: np.ndarray) -> None:
         np.maximum(primary, secondary, out=primary)

@@ -15,7 +15,7 @@ pipeline and the golden reference agree bit-exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -95,6 +95,16 @@ class PageRankKernel(KernelSpec):
         # bincount would round-trip the Q16.16 sums through float64).
         np.add.at(buffer, np.asarray(keys, dtype=np.int64) // self.pripes,
                   np.asarray(values, dtype=np.int64))
+
+    def process_shard(self, keys: np.ndarray,
+                      values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """One ``add.at`` of the shard's contributions into the full
+        ``num_vertices`` sums (exact int64, like :meth:`process_batch`)."""
+        keys = np.asarray(keys, dtype=np.uint64)
+        sums = np.zeros(self.num_vertices, dtype=np.int64)
+        np.add.at(sums, keys.astype(np.int64),
+                  self.prepare_value_array(keys, values))
+        return sums, self.route_array(keys)
 
     def merge_into(self, primary: np.ndarray, secondary: np.ndarray) -> None:
         primary += secondary

@@ -17,12 +17,11 @@ chunk lists per partition.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 import numpy as np
 
-from repro.core.fastpath import group_spans
-from repro.core.kernel import KernelSpec
+from repro.core.kernel import KernelSpec, group_spans, stable_order
 from repro.hashing.radix import radix_bits, radix_bits_array
 from repro.resources.estimator import AppResourceProfile
 
@@ -80,6 +79,31 @@ class PartitionKernel(KernelSpec):
         # the fast path appends exactly what the per-tuple loop would.
         for part, span in group_spans(self.partition_array(keys)):
             buffer.setdefault(part, []).extend(keys[span].tolist())
+
+    def process_shard(
+        self, keys: np.ndarray, values: np.ndarray
+    ) -> Tuple[Dict[int, List[int]], np.ndarray]:
+        """One stable sort of the shard by ``pe * fanout + partition``.
+
+        The label sorts PE-major, then by partition, which is the dict
+        order :meth:`collect` gives the per-PE buffers; stream order is
+        kept within each partition.  Each partition is one slice of the
+        sorted key list.
+        """
+        keys = np.asarray(keys, dtype=np.uint64)
+        parts = self.partition_array(keys)
+        destinations = parts % self.pripes
+        labels = destinations * self.fanout + parts
+        order = stable_order(labels)
+        sorted_labels = labels[order]
+        starts = np.flatnonzero(np.diff(sorted_labels, prepend=-1)).tolist()
+        sorted_keys = keys[order].tolist()
+        partitions = {
+            label % self.fanout: sorted_keys[start:end]
+            for label, start, end in zip(sorted_labels[starts].tolist(),
+                                         starts, starts[1:] + [keys.size])
+        }
+        return partitions, destinations
 
     def collect(
         self, buffers: List[Dict[int, List[int]]]

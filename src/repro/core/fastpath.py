@@ -7,13 +7,18 @@ compilers (FLOWER, the Cheng & Wawrzynek dataflow template) derive
 steady-state pipeline throughput from channel/PE occupancy models rather
 than cycle-stepping; this module does the same in NumPy:
 
-* the **application result** is exact — every tuple routed to PriPE
-  ``p`` is applied to ``p``'s private buffer through the vectorised
-  :meth:`~repro.core.kernel.KernelSpec.process_batch` hook (kernels that
-  don't opt in fall back to the per-tuple loop), in stream order, so the
-  collected output is bit-identical to the cycle engine's;
-* the **cycle count** is modeled from the analytic bottleneck.  Without
-  skew handling the pipeline's completion time is governed by
+* the **application result** is exact — one
+  :meth:`~repro.core.kernel.KernelSpec.process_shard` call per shard
+  returns the collected result and every tuple's PriPE index.  Like a
+  PrePE, the apps hash each key once, derive the PE index from that same
+  hash and apply one scatter over the whole shard, so the PriPEs are
+  only a label on each tuple, not a Python loop.  Kernels that do not
+  override the hook step the per-PE ``process_batch`` hooks (or the
+  per-tuple loop) instead.  Either way the collected output is
+  bit-identical to the cycle engine's;
+* the **cycle count** is modeled from the analytic bottleneck over one
+  ``bincount`` of those PriPE indices.  Without skew handling the
+  pipeline's completion time is governed by
   ``max(ceil(N / lanes), max_pe_load * II)`` — the memory interface
   delivers ``lanes`` tuples per cycle and the most loaded PE retires one
   tuple every ``II`` cycles (its backpressure is what collapses
@@ -30,7 +35,7 @@ modeled cycles within 10% of simulated across Zipf skew factors.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -71,22 +76,6 @@ def validate_engine(engine: str) -> str:
     return engine
 
 
-def group_spans(labels: np.ndarray) -> Iterator[Tuple[int, np.ndarray]]:
-    """Yield ``(label, positions)`` per distinct label value.
-
-    ``positions`` index the original array in stream order (stable
-    argsort), so consumers that append per group preserve arrival
-    order within each group.
-    """
-    labels = np.asarray(labels)
-    order = np.argsort(labels, kind="stable")
-    sorted_labels = labels[order]
-    boundaries = np.flatnonzero(np.diff(sorted_labels)) + 1
-    for span in np.split(order, boundaries):
-        if span.size:
-            yield int(labels[span[0]]), span
-
-
 def bottleneck_cycles(config: ArchitectureConfig, tuples: int,
                       max_pe_load: int) -> int:
     """The analytic completion bound for a plain data-routing run.
@@ -108,8 +97,16 @@ def modeled_cycles(
     captures the profiling transient and the hot channel's drain.
     """
     destinations = np.asarray(destinations, dtype=np.int64)
+    return _modeled_cycles(
+        config, destinations,
+        np.bincount(destinations, minlength=config.pripes))
+
+
+def _modeled_cycles(config: ArchitectureConfig, destinations: np.ndarray,
+                    counts: np.ndarray
+                    ) -> Tuple[int, List[SchedulingPlan], int]:
+    """:func:`modeled_cycles` given the per-PriPE ``counts`` as well."""
     if not config.skew_handling:
-        counts = np.bincount(destinations, minlength=config.pripes)
         return (
             bottleneck_cycles(config, destinations.size, int(counts.max())),
             [],
@@ -127,16 +124,17 @@ def _modeled_pe_counts(
     plan: Optional[SchedulingPlan],
 ) -> dict:
     """Per-designated-PE tuple counts under the final plan (modeled)."""
-    designated = np.zeros(config.designated_pes, dtype=np.float64)
     if plan is None or not plan.pairs:
-        designated[: config.pripes] = counts
-    else:
-        attached = np.zeros(config.pripes, dtype=np.int64)
-        for _, pripe in plan.pairs:
-            attached[pripe] += 1
-        designated[: config.pripes] = counts / (1 + attached)
-        for secpe, pripe in plan.pairs:
-            designated[secpe] = counts[pripe] / (1 + attached[pripe])
+        loads = counts.tolist()
+        loads += [0] * (config.designated_pes - len(loads))
+        return dict(enumerate(loads))
+    designated = np.zeros(config.designated_pes, dtype=np.float64)
+    attached = np.zeros(config.pripes, dtype=np.int64)
+    for _, pripe in plan.pairs:
+        attached[pripe] += 1
+    designated[: config.pripes] = counts / (1 + attached)
+    for secpe, pripe in plan.pairs:
+        designated[secpe] = counts[pripe] / (1 + attached[pripe])
     return {pe: int(round(load)) for pe, load in enumerate(designated)}
 
 
@@ -154,21 +152,10 @@ def run_fast(config: ArchitectureConfig, kernel: KernelSpec,
         raise ValueError("cannot run an empty batch")
     kernel.pripes = config.pripes
 
-    destinations = np.asarray(kernel.route_array(batch.keys),
-                              dtype=np.int64)
-    values = kernel.prepare_value_array(batch.keys, batch.values)
-
-    # Exact result: apply each PriPE's tuples to its private buffer in
-    # stream order.  SecPE partials always merge back into (or union
-    # with) the owning PriPE's state, so routing straight to the PriPE
-    # reproduces the post-merge result.
-    buffers = [kernel.make_buffer() for _ in range(config.pripes)]
-    for pe, span in group_spans(destinations):
-        kernel.process_batch(buffers[pe], batch.keys[span], values[span])
-    result = kernel.collect(buffers)
-
-    cycles, plans, reschedules = modeled_cycles(config, destinations)
+    result, destinations = kernel.process_shard(batch.keys, batch.values)
     counts = np.bincount(destinations, minlength=config.pripes)
+    cycles, plans, reschedules = _modeled_cycles(config, destinations,
+                                                 counts)
     final_plan = plans[-1] if plans else None
     if TRACE_HOOK is not None:
         TRACE_HOOK({

@@ -11,9 +11,39 @@ models consume it.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Any, Dict, List
+from typing import Any, Dict, Iterator, List, Tuple
 
 import numpy as np
+
+
+def stable_order(labels: np.ndarray) -> np.ndarray:
+    """``argsort(labels, kind="stable")`` for non-negative int labels.
+
+    The labels are narrowed to the smallest unsigned dtype first, so
+    label spaces up to 2**16 (PE, cell and partition indexes) sort by
+    radix instead of by comparison.
+    """
+    labels = np.asarray(labels)
+    if labels.size:
+        labels = labels.astype(np.min_scalar_type(int(labels.max())),
+                               copy=False)
+    return np.argsort(labels, kind="stable")
+
+
+def group_spans(labels: np.ndarray) -> Iterator[Tuple[int, np.ndarray]]:
+    """Yield ``(label, positions)`` per distinct label value, ascending.
+
+    ``labels`` are non-negative integers.  ``positions`` index the
+    original array in stream order (stable sort), so consumers that
+    append per group preserve arrival order within each group.
+    """
+    labels = np.asarray(labels)
+    order = stable_order(labels)
+    sorted_labels = labels[order]
+    boundaries = np.flatnonzero(np.diff(sorted_labels)) + 1
+    for span in np.split(order, boundaries):
+        if span.size:
+            yield int(labels[span[0]]), span
 
 
 class KernelSpec(ABC):
@@ -31,6 +61,11 @@ class KernelSpec(ABC):
     * Non-decomposable applications (data partitioning) set
       :attr:`decomposable` to False; their SecPEs "output results to
       their own memory space" and :meth:`collect` receives all buffers.
+    * :meth:`process_shard` is the fast path's whole-shard entry point:
+      it returns the collected result of one stream segment together
+      with every tuple's PriPE index.  Its default steps the per-PE
+      hooks (:meth:`route_array`, :meth:`process_batch`,
+      :meth:`collect`); the apps override it with one vectorised pass.
     """
 
     #: Number of PriPEs this spec routes across (set by the architecture
@@ -106,9 +141,9 @@ class KernelSpec(ABC):
                       values: np.ndarray) -> None:
         """Apply a whole routed batch to one PE's ``buffer``.
 
-        The fast-path executor (:mod:`repro.core.fastpath`) feeds every
-        tuple destined for one PE through this hook in stream order.
-        Kernels opt in by overriding with a NumPy reduction
+        The default :meth:`process_shard` feeds every tuple destined for
+        one PE through this hook in stream order.  Kernels opt in by
+        overriding with a NumPy reduction
         (bincount / ``ufunc.at`` scatter); this default is the exact
         per-tuple fallback, so the fast path is always available.
         ``values`` have already been through :meth:`prepare_value`.
@@ -116,6 +151,32 @@ class KernelSpec(ABC):
         for key, value in zip(np.asarray(keys).tolist(),
                               np.asarray(values).tolist()):
             self.process(buffer, int(key), int(value))
+
+    def process_shard(self, keys: np.ndarray,
+                      values: np.ndarray) -> Tuple[Any, np.ndarray]:
+        """Process one whole stream segment on fresh PriPE buffers.
+
+        Returns ``(result, destinations)``: the :meth:`collect`-ed
+        application result of the segment and the int64 PriPE index of
+        every tuple, in stream order.  The fast-path executor
+        (:mod:`repro.core.fastpath`) makes exactly one call per shard.
+
+        This default is the per-PE reference: route every key, prepare
+        the values, apply each PriPE's tuples to its own fresh buffer in
+        stream order through :meth:`process_batch`, then
+        :meth:`collect`.  SecPE partials always merge back into (or
+        union with) the owning PriPE's state, so routing straight to the
+        PriPE reproduces the post-merge result.  An override must return
+        a bit-identical result (same dtype, same dict iteration order)
+        and the same destinations, typically by hashing each key once
+        and applying one scatter over the whole shard.
+        """
+        destinations = np.asarray(self.route_array(keys), dtype=np.int64)
+        values = self.prepare_value_array(keys, values)
+        buffers = [self.make_buffer() for _ in range(self.pripes)]
+        for pe, span in group_spans(destinations):
+            self.process_batch(buffers[pe], keys[span], values[span])
+        return self.collect(buffers), destinations
 
     # ------------------------------------------------------------------
     # Merging (merger logic)

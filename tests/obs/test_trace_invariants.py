@@ -2,8 +2,8 @@
 
 1. **Backend invariance**: with tracing on, the deterministic
    dispatch-clock timestamps of every job-lifecycle event are identical
-   whether the fleet runs on inline threads or warm worker
-   subprocesses — and, for subprocesses, whether shards travel as pipe
+   whether the fleet runs inline on the dispatcher thread or on warm
+   worker subprocesses — and, for subprocesses, whether shards travel as pipe
    byte copies or shared-memory descriptors.  Segment events carry the
    clock stamped at *dispatch* time (``WorkItem.dispatch_clock``,
    shipped through the procpool pipe in both transports), so even
@@ -66,10 +66,10 @@ def traced_run(app, backend, *, transport="pipe", tracer=None,
 def clock_view(events):
     """The deterministic, order-insensitive view of a job trace.
 
-    Worker threads interleave differently run to run, so events are
-    compared as sorted tuples; ``generation`` is excluded (the process
-    pool starts at generation 1, the thread pool at 0) and so is wall
-    time (host-dependent by design).
+    Worker subprocesses interleave differently run to run, so events
+    are compared as sorted tuples; ``generation`` is excluded (the
+    process pool starts at generation 1, the inline pool at 0) and so
+    is wall time (host-dependent by design).
     """
     view = []
     for event in events:

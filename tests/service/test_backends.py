@@ -1,8 +1,9 @@
-"""Backend equivalence: inline threads vs warm worker subprocesses.
+"""Backend equivalence: inline dispatch vs warm worker subprocesses.
 
 The execution-backend port's core promise is that the backend choice is
 invisible in the results: given the same submit sequence, the inline
-(thread) and process (pre-forked subprocess) adapters produce
+(shards run on the dispatcher thread) and process (pre-forked
+subprocess) adapters produce
 bit-identical :class:`~repro.service.jobs.JobResult`s and identical
 deterministic metrics snapshots — across every served app kernel and
 through mid-job fleet resizes.
